@@ -2,7 +2,9 @@
 // placement API, the memoized interruption model and the pooled
 // simulator internals. Four measurements:
 //   1. placement micro  — ns per ADAPT draw against a pre-built
-//      all-eligible NodeMask (pure Algorithm-1 lookup + rejection).
+//      all-eligible NodeMask (pure Algorithm-1 lookup + rejection),
+//      plus the jump-hash draw and the ms per Algorithm-1 table build
+//      that every policy refresh pays.
 //   2. create_file      — end-to-end ns per placement draw through the
 //      NameNode (mask maintenance + fidelity cap + policy feedback).
 //   3. simulation       — events/s of a full map-phase run on the
@@ -27,6 +29,7 @@
 // bench twice and diff the two JSONs with tools/compare_bench.py to
 // bound the enabled-path overhead (warn-only). Without --obs every
 // hook sits on its disabled path, which is the committed baseline.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -130,6 +133,39 @@ void bench_jump_micro(std::vector<Metric>& metrics, bool quick) {
                 static_cast<unsigned long long>(sink));
     metrics.push_back({"jump_micro/nodes=" + std::to_string(nodes), ns,
                        "ns/draw", "lower"});
+  }
+}
+
+// 1c. Algorithm-1 table build: the cost every policy refresh pays (dead
+// declaration, revive, rebalance pass) on top of the load. 100 cells per
+// node, as in the churn and rebalance workloads. Median of repeated
+// builds, since one build is short enough for a single timer tick or
+// page fault to dominate it.
+void bench_table_build(std::vector<Metric>& metrics, bool quick) {
+  const int builds = quick ? 15 : 41;
+  std::printf("\n--- hash-table build (100 cells/node, median of %d) ---\n",
+              builds);
+  for (const std::size_t nodes : {std::size_t{256}, std::size_t{1024},
+                                  std::size_t{8192}}) {
+    std::vector<double> weights;
+    for (const double et : synthetic_expected_times(nodes)) {
+      weights.push_back(1.0 / et);
+    }
+    std::vector<double> ms;
+    double sink = 0.0;  // keep the builds observable
+    for (int i = 0; i < builds; ++i) {
+      const auto t0 = Clock::now();
+      const placement::BlockHashTable table(weights, nodes * 100,
+                                            placement::ChainWeighting::kPaper);
+      ms.push_back(seconds_since(t0) * 1e3);
+      sink += table.selection_probabilities().back();
+    }
+    std::nth_element(ms.begin(), ms.begin() + builds / 2, ms.end());
+    const double median = ms[builds / 2];
+    std::printf("nodes=%5zu  %8.3f ms/build  (checksum %.6g)\n", nodes,
+                median, sink);
+    metrics.push_back({"table_build/nodes=" + std::to_string(nodes), median,
+                       "ms", "lower"});
   }
 }
 
@@ -319,14 +355,15 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Hot-path perf baseline (DESIGN.md §7)",
-      std::string("placement draw / create_file / simulation / churn "
-                  "recovery; ") +
+      std::string("placement draw / table build / create_file / "
+                  "simulation / churn recovery; ") +
           (quick ? "--quick (CI smoke scale)" : "full scale") +
           (obs ? "; full observability stack ON" : ""));
 
   std::vector<Metric> metrics;
   bench_placement_micro(metrics, quick);
   bench_jump_micro(metrics, quick);
+  bench_table_build(metrics, quick);
   bench_create_file(metrics);
   bench_simulation(metrics, runs, obs);
   bench_churn_recovery(metrics, runs, seed, obs);

@@ -30,8 +30,10 @@ void append_scalar_object(
   out += "{";
   for (std::size_t i = 0; i < series.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + json_escape(series[i].first) +
-           "\": " + json_number(series[i].second);
+    out += '"';
+    out += json_escape(series[i].first);
+    out += "\": ";
+    out += json_number(series[i].second);
   }
   out += "}";
 }

@@ -15,7 +15,7 @@ namespace adapt::placement {
 // set, so `choose` terminates even under heavy masking.
 class WeightedHashPolicy : public PlacementPolicy {
  public:
-  WeightedHashPolicy(std::string name, std::vector<double> weights,
+  WeightedHashPolicy(std::string name, const std::vector<double>& weights,
                      std::uint64_t blocks, ChainWeighting weighting);
 
   using PlacementPolicy::choose;
@@ -30,11 +30,7 @@ class WeightedHashPolicy : public PlacementPolicy {
 
  private:
   std::string name_;
-  std::vector<double> weights_;
   BlockHashTable table_;
-  // Cached table_.selection_probabilities(); the masked-draw fallback
-  // must match the distribution the rejection loop realizes.
-  std::vector<double> realized_;
 };
 
 // ADAPT: weight_i = 1 / E[T_i] (zero for unstable nodes, whose expected

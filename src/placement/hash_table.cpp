@@ -39,20 +39,56 @@ BlockHashTable::BlockHashTable(const std::vector<double>& weights,
     shares_[i] = weights[i] / total;
   }
 
-  // Interval [a_i, b_i) per node in units of cells; chains built per
-  // integer cell from interval overlaps.
-  struct Segment {
-    std::uint32_t node;
-    double begin;
-    double end;
-    double rate;  // normalized share; the paper's chain-resolution weight
-  };
-  std::vector<Segment> segments;
-  segments.reserve(weights.size());
-  double cursor = 0.0;
+  // Node i owns the interval [a_i, b_i) of the key range [0, m), in node
+  // order. Every cell it overlaps gets a chain entry. Because the
+  // intervals are contiguous and in node order, the cells they touch
+  // arrive in non-decreasing order, so each chain is appended straight
+  // into the flat arrays and closed (normalized, its realized
+  // probabilities added up) when the sweep moves past its cell.
   const double m = static_cast<double>(cells);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double width = shares_[i] * m;
+  std::size_t last_node = weights.size();
+  while (last_node > 0 && shares_[last_node - 1] * m <= 0.0) --last_node;
+  // Neighbouring segments share at most their boundary cell, so there are
+  // at most m + n - 1 overlap entries, plus at most one forced anchor
+  // entry per node.
+  offsets_.reserve(cells + 1);
+  entries_.reserve(cells + 2 * weights.size());
+  probabilities_.assign(weights.size(), 0.0);
+  offsets_.push_back(0);
+
+  const double cell_prob = 1.0 / m;
+  std::uint64_t open = 0;  // the cell whose chain is being appended
+  const auto close_chain = [&] {
+    const std::size_t begin = offsets_.back();
+    const std::size_t end = entries_.size();
+    if (begin == end) {
+      throw std::logic_error("hash table: empty chain (rounding bug)");
+    }
+    // Normalize resolution weights within the chain.
+    double sum = 0.0;
+    for (std::size_t k = begin; k < end; ++k) sum += entries_[k].weight;
+    for (std::size_t k = begin; k < end; ++k) {
+      Entry& e = entries_[k];
+      e.weight = static_cast<float>(e.weight / sum);
+      probabilities_[e.node] += cell_prob * e.weight;
+    }
+    offsets_.push_back(static_cast<std::uint32_t>(end));
+  };
+  // A resolution weight must survive the float narrowing: a subnormal
+  // double share would otherwise round to 0.0f and vanish in the chain
+  // normalization.
+  const auto append = [&](std::uint64_t cell, std::uint32_t node,
+                          double w) {
+    for (; open < cell; ++open) close_chain();
+    entries_.push_back(
+        {node, std::max(static_cast<float>(w),
+                        std::numeric_limits<float>::min())});
+  };
+
+  double cursor = 0.0;
+  for (std::size_t i = 0; i < last_node; ++i) {
+    const double rate = shares_[i];
+    const double width = rate * m;
     if (width <= 0.0) continue;
     // Clamp every boundary to [0, m]: the cumulative cursor accumulates
     // rounding drift, and upward drift can push a later segment's begin
@@ -60,70 +96,34 @@ BlockHashTable::BlockHashTable(const std::vector<double>& weights,
     // probability (its cell range would be empty).
     const double begin = std::min(cursor, m);
     cursor += width;
-    segments.push_back({static_cast<std::uint32_t>(i), begin,
-                        std::min(cursor, m), shares_[i]});
-  }
-  // Guard the accumulated rounding drift at the top end: only stretch
-  // the last segment when downward drift left a gap below m. When the
-  // cursor overshot, the segment is already clamped to m and the
-  // assignment must not widen an interval that ended early.
-  if (cursor < m) segments.back().end = m;
+    double end = std::min(cursor, m);
+    // Guard the accumulated rounding drift at the top end: only stretch
+    // the last segment when downward drift left a gap below m. When the
+    // cursor overshot, the segment is already clamped to m and must not
+    // be widened.
+    if (i + 1 == last_node && cursor < m) end = m;
 
-  // A resolution weight must survive the float narrowing: a subnormal
-  // double share would otherwise round to 0.0f and vanish in the chain
-  // normalization.
-  const auto entry_weight = [](double w) {
-    return std::max(static_cast<float>(w),
-                    std::numeric_limits<float>::min());
-  };
-  std::vector<std::vector<Entry>> chains(cells);
-  for (const Segment& seg : segments) {
-    const auto anchor = std::min(
-        static_cast<std::uint64_t>(seg.begin), cells - 1);
+    const auto node = static_cast<std::uint32_t>(i);
+    const auto anchor =
+        std::min(static_cast<std::uint64_t>(begin), cells - 1);
     const auto last = static_cast<std::uint64_t>(
-        std::min(m - 1.0, std::ceil(seg.end) - 1.0));
+        std::min(m - 1.0, std::ceil(end) - 1.0));
     bool inserted = false;
     for (std::uint64_t j = anchor; j <= last && j < cells; ++j) {
       const double cell_lo = static_cast<double>(j);
-      const double cell_hi = cell_lo + 1.0;
       const double overlap =
-          std::min(seg.end, cell_hi) - std::max(seg.begin, cell_lo);
+          std::min(end, cell_lo + 1.0) - std::max(begin, cell_lo);
       if (overlap <= 0.0) continue;
-      const double w = weighting_ == ChainWeighting::kPaper
-                           ? seg.rate
-                           : overlap;
-      chains[j].push_back({seg.node, entry_weight(w)});
+      append(j, node, weighting_ == ChainWeighting::kPaper ? rate : overlap);
       inserted = true;
     }
-    if (!inserted) {
-      // Rounding squeezed the segment to zero width (tiny share, or a
-      // clamped boundary at m). Every positive-weight node must keep a
-      // positive selection probability, so force one chain entry at the
-      // segment's anchor cell.
-      chains[anchor].push_back({seg.node, entry_weight(seg.rate)});
-    }
+    // Rounding squeezed the segment to zero width (tiny share, or a
+    // clamped boundary at m). Every positive-weight node must keep a
+    // positive selection probability, so force one chain entry at the
+    // segment's anchor cell.
+    if (!inserted) append(anchor, node, rate);
   }
-
-  offsets_.resize(cells + 1);
-  std::size_t count = 0;
-  for (std::uint64_t j = 0; j < cells; ++j) {
-    offsets_[j] = static_cast<std::uint32_t>(count);
-    count += chains[j].size();
-  }
-  offsets_[cells] = static_cast<std::uint32_t>(count);
-  entries_.reserve(count);
-  for (std::uint64_t j = 0; j < cells; ++j) {
-    if (chains[j].empty()) {
-      throw std::logic_error("hash table: empty chain (rounding bug)");
-    }
-    // Normalize resolution weights within the chain.
-    double sum = 0.0;
-    for (const Entry& e : chains[j]) sum += e.weight;
-    for (Entry e : chains[j]) {
-      e.weight = static_cast<float>(e.weight / sum);
-      entries_.push_back(e);
-    }
-  }
+  for (; open < cells; ++open) close_chain();
 }
 
 std::uint32_t BlockHashTable::sample(common::Rng& rng) const {
@@ -139,17 +139,6 @@ std::uint32_t BlockHashTable::sample(common::Rng& rng) const {
     low = high;
   }
   return entries_[end - 1].node;
-}
-
-std::vector<double> BlockHashTable::selection_probabilities() const {
-  std::vector<double> probs(shares_.size(), 0.0);
-  const double cell_prob = 1.0 / static_cast<double>(cells_);
-  for (std::uint64_t j = 0; j < cells_; ++j) {
-    for (std::uint32_t k = offsets_[j]; k < offsets_[j + 1]; ++k) {
-      probs[entries_[k].node] += cell_prob * entries_[k].weight;
-    }
-  }
-  return probs;
 }
 
 std::vector<std::size_t> BlockHashTable::chain_length_histogram() const {

@@ -48,9 +48,11 @@ class BlockHashTable {
   const std::vector<double>& shares() const { return shares_; }
 
   // Exact selection probability per node under the configured chain
-  // weighting; tests compare this with shares() to quantify the paper
-  // scheme's distortion.
-  std::vector<double> selection_probabilities() const;
+  // weighting, added up while the table is built; tests compare this with
+  // shares() to quantify the paper scheme's distortion.
+  const std::vector<double>& selection_probabilities() const {
+    return probabilities_;
+  }
 
   // Distribution of chain lengths (diagnostics; index = length).
   std::vector<std::size_t> chain_length_histogram() const;
@@ -66,6 +68,7 @@ class BlockHashTable {
   std::vector<std::uint32_t> offsets_;
   std::vector<Entry> entries_;
   std::vector<double> shares_;
+  std::vector<double> probabilities_;
   std::uint64_t cells_;
   ChainWeighting weighting_;
 };

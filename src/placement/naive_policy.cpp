@@ -10,8 +10,8 @@ PolicyPtr make_naive_policy(
   for (const avail::InterruptionParams& p : params) {
     weights.push_back(p.steady_state_availability());
   }
-  return std::make_shared<WeightedHashPolicy>("naive", std::move(weights),
-                                              blocks, weighting);
+  return std::make_shared<WeightedHashPolicy>("naive", weights, blocks,
+                                              weighting);
 }
 
 }  // namespace adapt::placement

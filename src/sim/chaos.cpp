@@ -1,6 +1,7 @@
 #include "sim/chaos.h"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
 
 #include "cluster/topology.h"
@@ -105,33 +106,40 @@ struct RunOutput {
   JobResult job;
   std::string trace_jsonl;
   std::string post_mortem;
+  std::string error;  // what() of an exception the run threw, else empty
 };
 
 RunOutput run_once(const ChaosConfig& config,
                    const SimJobConfig::ChurnConfig& schedule,
                    hdfs::NameNode& nn, hdfs::FileId& file_out) {
-  const cluster::Cluster cluster = build_cluster(config);
-  common::Rng place_rng = common::Rng(config.seed).fork(0x91ac);
-  const hdfs::FileId file = nn.create_file(
-      "chaos", config.blocks, config.replication,
-      placement::make_random_policy(config.nodes), place_rng);
-  file_out = file;
-
   obs::EventTracer tracer;
   // Online lineage: streams from the tracer, so the post-mortem stays
   // exact even if the ring were to overwrite.
   obs::LineageIndex lineage;
   tracer.set_sink(&lineage);
-  SimJobConfig job_config;
-  job_config.gamma = config.gamma;
-  job_config.seed = config.seed;
-  job_config.allow_origin_fetch = false;
-  job_config.churn = schedule;
-  job_config.tracer = &tracer;
-
-  MapReduceSimulation sim(cluster, nn, file, job_config);
   RunOutput out;
-  out.job = sim.run();
+  try {
+    const cluster::Cluster cluster = build_cluster(config);
+    common::Rng place_rng = common::Rng(config.seed).fork(0x91ac);
+    const hdfs::FileId file = nn.create_file(
+        "chaos", config.blocks, config.replication,
+        placement::make_random_policy(config.nodes), place_rng);
+    file_out = file;
+
+    SimJobConfig job_config;
+    job_config.gamma = config.gamma;
+    job_config.seed = config.seed;
+    job_config.allow_origin_fetch = false;
+    job_config.churn = schedule;
+    job_config.tracer = &tracer;
+
+    MapReduceSimulation sim(cluster, nn, file, job_config);
+    out.job = sim.run();
+  } catch (const std::exception& e) {
+    // A throw is a finding, not a harness crash: keep the trace up to
+    // the throw so the violation can be replayed from its artifacts.
+    out.error = e.what();
+  }
   out.post_mortem =
       obs::post_mortem_text(obs::post_mortem(lineage.take_snapshot()));
   obs::RunObservations obs;
@@ -229,7 +237,13 @@ ChaosReport run_chaos(const ChaosConfig& config) {
   report.job = first.job;
   report.trace_jsonl = first.trace_jsonl;
   report.post_mortem = first.post_mortem;
-  check_invariants(nn, file, config, first.job, report.violations);
+  if (first.error.empty()) {
+    check_invariants(nn, file, config, first.job, report.violations);
+  } else {
+    // The NameNode was left mid-run; post-convergence invariants do not
+    // apply to it.
+    report.violations.push_back({"simulator_threw", first.error});
+  }
 
   if (config.check_determinism) {
     hdfs::NameNode nn2(config.nodes);

@@ -12,7 +12,10 @@
 //  * unwind completeness — a task not reported lost is done, and a lost
 //    task's block is empty or corrupt-only;
 //  * determinism — the same seed reproduces the run byte-for-byte
-//    (JSONL trace compare), so every violation is replayable.
+//    (JSONL trace compare), so every violation is replayable;
+//  * no throw — an exception escaping the simulator is reported as a
+//    `simulator_threw` violation carrying its what(), with the trace up
+//    to the throw, instead of aborting a multi-seed sweep.
 //
 // The harness is deliberately self-contained (it owns the cluster, the
 // NameNode and the schedule) so tests and the chaos_harness example can

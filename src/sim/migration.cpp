@@ -239,7 +239,7 @@ bool MigrationDriver::start_move(std::size_t index) {
   trace({.type = obs::EventType::kMigrationStart,
          .node = f.move.to,
          .peer = f.src,
-         .task = f.move.block,
+         .task = static_cast<std::uint32_t>(f.move.block),
          .aux = static_cast<std::uint32_t>(f.retries),
          .ticket = f.grant.ticket,
          .v0 = f.grant.start,
@@ -272,7 +272,7 @@ void MigrationDriver::on_transfer_done(std::uint64_t ticket) {
   trace({.type = obs::EventType::kMigrationCommit,
          .node = f.move.to,
          .peer = f.src,
-         .task = f.move.block,
+         .task = static_cast<std::uint32_t>(f.move.block),
          .ticket = f.grant.ticket,
          .v0 = static_cast<double>(block_bytes_)});
   if (on_committed_) on_committed_(f.move.block, f.move.from, f.move.to);
@@ -297,7 +297,7 @@ void MigrationDriver::schedule_retry(Item item, obs::TraceReason reason) {
     if (metrics_ != nullptr) metrics_->add(ctr_giveups_);
     release_reservation(item.move);
     trace({.type = obs::EventType::kMigrationGiveup,
-           .task = item.move.block,
+           .task = static_cast<std::uint32_t>(item.move.block),
            .aux = static_cast<std::uint32_t>(attempt)});
     if (on_aborted_) {
       on_aborted_(item.move.block, item.move.from, item.move.to);
@@ -313,7 +313,7 @@ void MigrationDriver::schedule_retry(Item item, obs::TraceReason reason) {
   const common::Seconds next = queue_.now() + delay;
   trace({.type = obs::EventType::kMigrationRetry,
          .reason = reason,
-         .task = item.move.block,
+         .task = static_cast<std::uint32_t>(item.move.block),
          .aux = static_cast<std::uint32_t>(attempt),
          .v0 = next});
   item.retries = attempt;

@@ -19,6 +19,15 @@ cluster::Network::Config network_config(const cluster::Cluster& cluster) {
   return config;
 }
 
+InterruptionInjector::Config injector_config(const ReduceConfig& reduce) {
+  InterruptionInjector::Config config;
+  config.replay_horizon = reduce.replay_horizon;
+  config.randomize_replay_offset = reduce.randomize_replay_offset;
+  config.replay_offsets = reduce.replay_offsets;
+  config.initial_down_until = reduce.initial_down_until;
+  return config;
+}
+
 }  // namespace
 
 ReducePhaseSimulation::ReducePhaseSimulation(
@@ -30,10 +39,7 @@ ReducePhaseSimulation::ReducePhaseSimulation(
       rng_(common::Rng(config_.seed).fork(0x2ed0)),
       injector_(queue_, cluster.nodes, *this,
                 common::Rng(config_.seed).fork(0x2ed1),
-                InterruptionInjector::Config{config_.replay_horizon,
-                                             config_.randomize_replay_offset,
-                                             config_.replay_offsets,
-                                             config_.initial_down_until}),
+                injector_config(config_)),
       up_(cluster.size(), true) {
   if (map_winners.empty()) {
     throw std::invalid_argument("reduce: no map outputs");

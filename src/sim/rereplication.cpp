@@ -228,7 +228,7 @@ bool ReReplicator::start_repair(std::size_t pending_index) {
   trace({.type = obs::EventType::kRereplicationStart,
          .node = t.dst,
          .peer = t.src,
-         .task = t.block,
+         .task = static_cast<std::uint32_t>(t.block),
          .aux = static_cast<std::uint32_t>(t.retries),
          .ticket = t.grant.ticket,
          .v0 = t.grant.start,
@@ -274,7 +274,7 @@ void ReReplicator::on_transfer_done(std::uint64_t ticket) {
   trace({.type = obs::EventType::kRereplicationDone,
          .node = t.dst,
          .peer = t.src,
-         .task = t.block,
+         .task = static_cast<std::uint32_t>(t.block),
          .ticket = t.grant.ticket,
          .v0 = static_cast<double>(block_bytes_)});
 
@@ -306,7 +306,7 @@ void ReReplicator::schedule_retry(hdfs::BlockId block, int retries_done,
     ++stats_.giveups;
     if (metrics_ != nullptr) metrics_->add(ctr_giveups_);
     trace({.type = obs::EventType::kRereplicationGiveup,
-           .task = block,
+           .task = static_cast<std::uint32_t>(block),
            .aux = static_cast<std::uint32_t>(attempt)});
     finish_block(block);
     if (on_giveup_) on_giveup_(block);
@@ -321,7 +321,7 @@ void ReReplicator::schedule_retry(hdfs::BlockId block, int retries_done,
   const common::Seconds next = queue_.now() + delay;
   trace({.type = obs::EventType::kRereplicationRetry,
          .reason = reason,
-         .task = block,
+         .task = static_cast<std::uint32_t>(block),
          .aux = static_cast<std::uint32_t>(attempt),
          .v0 = next});
   pending_.push_back({block, attempt, next});

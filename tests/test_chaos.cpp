@@ -4,6 +4,8 @@
 // recovers from the surviving replica and re-replicates back to target.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "cluster/topology.h"
 #include "hdfs/namenode.h"
 #include "obs/replay.h"
@@ -79,6 +81,30 @@ TEST(Chaos, TwentyRandomSchedulesHoldInvariants) {
   EXPECT_GE(corrupt_reads, 1u);
   EXPECT_GE(scanned, 1u);
   EXPECT_GE(safe_entries, 1u);
+}
+
+// Seeds 2900 and 4478 drive the simulator into a throw from the
+// in-flight repair races (a replica removed from a node that no longer
+// holds it; an event scheduled in the past). The harness must report
+// each as a `simulator_threw` violation carrying what(), with the trace
+// up to the throw, instead of aborting the sweep. Once the
+// replica-lifecycle fix lands these seeds must run clean: flip the
+// expectation to report.ok().
+TEST(Chaos, SimulatorThrowIsReportedAsViolation) {
+  const std::pair<std::uint64_t, const char*> pinned[] = {
+      {2900, "remove_replica: node does not hold block"},
+      {4478, "schedule: time travels backwards"},
+  };
+  ChaosConfig config;
+  for (const auto& [seed, what] : pinned) {
+    config.seed = seed;
+    const ChaosReport report = run_chaos(config);
+    ASSERT_EQ(report.violations.size(), 1u) << "seed " << seed;
+    EXPECT_EQ(report.violations[0].invariant, "simulator_threw");
+    EXPECT_EQ(report.violations[0].detail, what);
+    EXPECT_EQ(report.violations[0].block, ChaosViolation::kNoBlock);
+    EXPECT_FALSE(report.trace_jsonl.empty()) << "seed " << seed;
+  }
 }
 
 // Node 0 is partitioned from the NameNode at t=4.5 while staying up the
