@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 
 #include "availability/distribution.h"
@@ -12,14 +13,22 @@ using namespace adapt::avail;
 using adapt::common::Rng;
 using adapt::common::RunningStats;
 
+struct NamedDistribution {
+  const char* name;
+  DistributionPtr dist;
+};
+
+// Prints the case name only: gtest's default printer would show the raw
+// pointers, which differ from run to run, in the listed test names.
+void PrintTo(const NamedDistribution& p, std::ostream* os) { *os << p.name; }
+
 // Property: every distribution's sample moments converge to its declared
 // mean()/variance().
-class DistributionMoments
-    : public ::testing::TestWithParam<std::pair<const char*, DistributionPtr>> {
+class DistributionMoments : public ::testing::TestWithParam<NamedDistribution> {
 };
 
 TEST_P(DistributionMoments, SampleMomentsMatchDeclared) {
-  const DistributionPtr dist = GetParam().second;
+  const DistributionPtr dist = GetParam().dist;
   Rng rng(2024);
   RunningStats stats;
   constexpr int kSamples = 400000;
@@ -39,13 +48,13 @@ TEST_P(DistributionMoments, SampleMomentsMatchDeclared) {
 INSTANTIATE_TEST_SUITE_P(
     AllDistributions, DistributionMoments,
     ::testing::Values(
-        std::make_pair("exp", exponential(4.0)),
-        std::make_pair("det", deterministic(8.0)),
-        std::make_pair("lognormal", lognormal_mean_cov(100.0, 1.5)),
-        std::make_pair("weibull", weibull(1.5, 10.0)),
-        std::make_pair("pareto", pareto_mean_shape(50.0, 3.5)),
-        std::make_pair("uniform", uniform_range(2.0, 10.0))),
-    [](const auto& info) { return info.param.first; });
+        NamedDistribution{"exp", exponential(4.0)},
+        NamedDistribution{"det", deterministic(8.0)},
+        NamedDistribution{"lognormal", lognormal_mean_cov(100.0, 1.5)},
+        NamedDistribution{"weibull", weibull(1.5, 10.0)},
+        NamedDistribution{"pareto", pareto_mean_shape(50.0, 3.5)},
+        NamedDistribution{"uniform", uniform_range(2.0, 10.0)}),
+    [](const auto& info) { return info.param.name; });
 
 TEST(Distribution, DeterministicIsExact) {
   Rng rng(1);
