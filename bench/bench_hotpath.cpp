@@ -1,12 +1,14 @@
 // Hot-path perf baseline: the regression surface for the NodeMask
 // placement API, the memoized interruption model and the pooled
-// simulator internals. Four measurements:
+// simulator internals. Five measurements:
 //   1. placement micro  — ns per ADAPT draw against a pre-built
 //      all-eligible NodeMask (pure Algorithm-1 lookup + rejection),
 //      plus the jump-hash draw and the ms per Algorithm-1 table build
 //      that every policy refresh pays.
 //   2. create_file      — end-to-end ns per placement draw through the
 //      NameNode (mask maintenance + fidelity cap + policy feedback).
+//   2b. repair layer    — µs per NameNode dead declaration and ns per
+//      re-replication enqueue against a standing backlog.
 //   3. simulation       — events/s of a full map-phase run on the
 //      emulated 256-node cluster (event queue + network hot loops).
 //   4. churn recovery   — wall time of a churn run with the
@@ -37,12 +39,16 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "cluster/network.h"
 #include "cluster/node_mask.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "hdfs/namenode.h"
 #include "placement/adapt_policy.h"
 #include "placement/jump_hash_policy.h"
+#include "placement/random_policy.h"
+#include "sim/event_queue.h"
+#include "sim/rereplication.h"
 #include "trace/generator.h"
 #include "workload/terasort.h"
 
@@ -193,6 +199,90 @@ void bench_create_file(std::vector<Metric>& metrics) {
     std::printf("nodes=%5zu  %7.1f ns/draw\n", nodes, ns);
     metrics.push_back({"create_file/nodes=" + std::to_string(nodes), ns,
                        "ns/draw", "lower"});
+  }
+}
+
+// Median of a sample, in place.
+double median_of(std::vector<double>& xs) {
+  std::nth_element(xs.begin(),
+                   xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2),
+                   xs.end());
+  return xs[xs.size() / 2];
+}
+
+// 2b. Repair layer. A dead declaration writes off every replica the
+// node held (100 blocks per node, r3, so about 300 per node); the first
+// declaration also builds the per-node replica index and is printed
+// apart. Then the re-replication admission check: duplicate enqueues
+// against a standing backlog of `backlog` pending blocks (a block that
+// loses another holder while it waits is announced again).
+void bench_repair_layer(std::vector<Metric>& metrics, bool quick) {
+  const int deaths = quick ? 21 : 61;
+  std::printf("\n--- mark_node_dead (100 blocks/node, r3, median of %d) "
+              "---\n",
+              deaths);
+  for (const std::size_t nodes : {std::size_t{1024}, std::size_t{8192}}) {
+    hdfs::NameNode namenode(nodes);
+    common::Rng rng(29);
+    namenode.create_file("f", static_cast<std::uint32_t>(nodes * 100), 3,
+                         placement::make_random_policy(nodes), rng);
+    auto t0 = Clock::now();
+    std::size_t sink = namenode.mark_node_dead(0).size();
+    const double first_us = seconds_since(t0) * 1e6;
+    std::vector<double> us;
+    for (int i = 1; i <= deaths; ++i) {
+      const auto node = static_cast<cluster::NodeIndex>(
+          static_cast<std::size_t>(i) * (nodes / (deaths + 1)));
+      t0 = Clock::now();
+      sink += namenode.mark_node_dead(node).size();
+      us.push_back(seconds_since(t0) * 1e6);
+    }
+    const double median = median_of(us);
+    std::printf("nodes=%5zu  %8.2f us/call  (first call %.0f us, "
+                "%zu blocks written off)\n",
+                nodes, median, first_us, sink);
+    metrics.push_back({"mark_node_dead/nodes=" + std::to_string(nodes),
+                       median, "us", "lower"});
+  }
+
+  const int trials = quick ? 15 : 41;
+  std::printf("\n--- rereplication enqueue (duplicates against the "
+              "backlog, median of %d) ---\n",
+              trials);
+  for (const std::size_t backlog : {std::size_t{1000}, std::size_t{10000}}) {
+    const std::size_t nodes = 256;
+    hdfs::NameNode namenode(nodes);
+    common::Rng rng(31);
+    namenode.create_file("f", static_cast<std::uint32_t>(backlog), 3,
+                         placement::make_random_policy(nodes), rng);
+    for (hdfs::BlockId b = 0; b < backlog; ++b) {
+      namenode.remove_replica(b, namenode.block(b).replicas[0]);
+    }
+    cluster::Network::Config net;
+    net.uplink_bps.assign(nodes, 1e8);
+    net.downlink_bps.assign(nodes, 1e8);
+    cluster::Network network(net);
+    sim::EventQueue queue;
+    std::vector<double> ns;
+    std::size_t sink = 0;
+    for (int t = 0; t < trials; ++t) {
+      // No policy installed: the pipeline queues but never starts a
+      // transfer, so the backlog stays at `backlog` blocks.
+      sim::ReReplicator repl(queue, namenode, network, 1 << 20, {},
+                             common::Rng(37),
+                             [](cluster::NodeIndex) { return true; });
+      for (hdfs::BlockId b = 0; b < backlog; ++b) repl.enqueue(b);
+      const auto t0 = Clock::now();
+      for (hdfs::BlockId b = 0; b < backlog; ++b) repl.enqueue(b);
+      ns.push_back(seconds_since(t0) * 1e9 / static_cast<double>(backlog));
+      sink += repl.backlog();
+    }
+    const double median = median_of(ns);
+    std::printf("backlog=%5zu  %8.1f ns/call  (checksum %zu)\n", backlog,
+                median, sink);
+    metrics.push_back({"rereplication_enqueue/backlog=" +
+                           std::to_string(backlog),
+                       median, "ns", "lower"});
   }
 }
 
@@ -356,7 +446,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Hot-path perf baseline (DESIGN.md §7)",
       std::string("placement draw / table build / create_file / "
-                  "simulation / churn recovery; ") +
+                  "repair layer / simulation / churn recovery; ") +
           (quick ? "--quick (CI smoke scale)" : "full scale") +
           (obs ? "; full observability stack ON" : ""));
 
@@ -365,6 +455,7 @@ int main(int argc, char** argv) {
   bench_jump_micro(metrics, quick);
   bench_table_build(metrics, quick);
   bench_create_file(metrics);
+  bench_repair_layer(metrics, quick);
   bench_simulation(metrics, runs, obs);
   bench_churn_recovery(metrics, runs, seed, obs);
   write_json(metrics, quick, options.json_path);

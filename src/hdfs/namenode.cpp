@@ -63,9 +63,10 @@ cluster::NodeMask NameNode::eligibility(
   for (const cluster::NodeIndex holder : info.replicas) {
     eligible.reset(holder);
   }
-  // A brand-new block (create_file) cannot have pending moves; only
-  // callers that pass the id pay the pending scan.
-  if (block_id && !pending_moves_.empty()) {
+  // A brand-new block (create_file) cannot have pending moves, and
+  // only a block that has some pays the pending scan.
+  const bool pending = block_id && has_pending_moves(*block_id);
+  if (pending) {
     for (const ReplicaMove& move : pending_moves_) {
       if (move.block == *block_id) eligible.reset(move.to);
     }
@@ -74,7 +75,7 @@ cluster::NodeMask NameNode::eligibility(
     // Cross-domain anti-affinity: a pending-move target will hold a
     // copy too, so its domain is as taken as a holder's.
     std::vector<cluster::NodeIndex> taken = info.replicas;
-    if (block_id) {
+    if (pending) {
       for (const ReplicaMove& move : pending_moves_) {
         if (move.block == *block_id) taken.push_back(move.to);
       }
@@ -157,6 +158,7 @@ FileId NameNode::create_file(const std::string& name,
       for (const cluster::NodeIndex n : blocks_[b].replicas) {
         nodes_.remove_replica(n);
         sync_placeable(n);
+        unindex_replica(b, n);
       }
     }
     blocks_.resize(first_block);
@@ -181,6 +183,7 @@ FileId NameNode::create_file(const std::string& name,
       nodes_.add_replica(*node);
       sync_placeable(*node);
     }
+    for (const cluster::NodeIndex n : info.replicas) index_replica(block_id, n);
     blocks_.push_back(std::move(info));
     file_info.blocks.push_back(block_id);
   }
@@ -242,11 +245,18 @@ std::vector<ReplicaMove> NameNode::rebalance_file(
 
 std::size_t NameNode::find_pending(BlockId block, cluster::NodeIndex from,
                                    cluster::NodeIndex to) const {
+  if (!has_pending_moves(block)) return static_cast<std::size_t>(-1);
   for (std::size_t i = 0; i < pending_moves_.size(); ++i) {
     const ReplicaMove& move = pending_moves_[i];
     if (move.block == block && move.from == from && move.to == to) return i;
   }
   return static_cast<std::size_t>(-1);
+}
+
+void NameNode::erase_pending(std::size_t index) {
+  --moves_per_block_[pending_moves_[index].block];
+  pending_moves_.erase(pending_moves_.begin() +
+                       static_cast<std::ptrdiff_t>(index));
 }
 
 bool NameNode::has_pending_move(BlockId block, cluster::NodeIndex from,
@@ -263,9 +273,11 @@ void NameNode::begin_move(BlockId block, cluster::NodeIndex from,
   if (info.hosted_on(to)) {
     throw std::logic_error("begin_move: destination already holds block");
   }
-  for (const ReplicaMove& move : pending_moves_) {
-    if (move.block == block && move.to == to) {
-      throw std::logic_error("begin_move: destination already pending");
+  if (has_pending_moves(block)) {
+    for (const ReplicaMove& move : pending_moves_) {
+      if (move.block == block && move.to == to) {
+        throw std::logic_error("begin_move: destination already pending");
+      }
     }
   }
   if (dead_.at(to)) throw std::logic_error("begin_move: destination dead");
@@ -275,6 +287,10 @@ void NameNode::begin_move(BlockId block, cluster::NodeIndex from,
   nodes_.add_replica(to);  // reserve space for the inbound bytes
   sync_placeable(to);
   pending_moves_.push_back({block, from, to});
+  if (moves_per_block_.size() <= block) {
+    moves_per_block_.resize(blocks_.size());
+  }
+  ++moves_per_block_[block];
 }
 
 void NameNode::commit_move(BlockId block, cluster::NodeIndex from,
@@ -283,8 +299,7 @@ void NameNode::commit_move(BlockId block, cluster::NodeIndex from,
   if (idx == static_cast<std::size_t>(-1)) {
     throw std::logic_error("commit_move: no such pending move");
   }
-  pending_moves_.erase(pending_moves_.begin() +
-                       static_cast<std::ptrdiff_t>(idx));
+  erase_pending(idx);
   if (blocks_.at(block).hosted_on(to)) {
     // Another pipeline (re-replication) landed its own copy at `to`
     // while this move was on the wire. The replica is already real;
@@ -297,6 +312,7 @@ void NameNode::commit_move(BlockId block, cluster::NodeIndex from,
   // The reservation made by begin_move becomes the real replica; no
   // second usage bump.
   blocks_.at(block).replicas.push_back(to);
+  index_replica(block, to);
   // Drop the source copy. If a node death already wrote it off
   // mid-transfer the new replica simply lands (net replica gain).
   if (blocks_.at(block).hosted_on(from)) {
@@ -310,8 +326,7 @@ void NameNode::abort_move(BlockId block, cluster::NodeIndex from,
   if (idx == static_cast<std::size_t>(-1)) {
     throw std::logic_error("abort_move: no such pending move");
   }
-  pending_moves_.erase(pending_moves_.begin() +
-                       static_cast<std::ptrdiff_t>(idx));
+  erase_pending(idx);
   nodes_.remove_replica(to);  // release the reservation
   sync_placeable(to);
 }
@@ -354,10 +369,15 @@ void NameNode::add_replica(BlockId block, cluster::NodeIndex node) {
   info.replicas.push_back(node);
   nodes_.add_replica(node);
   sync_placeable(node);
+  index_replica(block, node);
 }
 
 void NameNode::remove_replica(BlockId block, cluster::NodeIndex node) {
-  BlockInfo& info = blocks_.at(block);
+  unlink_replica(blocks_.at(block), node);
+  unindex_replica(block, node);
+}
+
+void NameNode::unlink_replica(BlockInfo& info, cluster::NodeIndex node) {
   const auto it =
       std::find(info.replicas.begin(), info.replicas.end(), node);
   if (it == info.replicas.end()) {
@@ -366,6 +386,22 @@ void NameNode::remove_replica(BlockId block, cluster::NodeIndex node) {
   info.replicas.erase(it);
   nodes_.remove_replica(node);
   sync_placeable(node);
+}
+
+void NameNode::index_replica(BlockId block, cluster::NodeIndex node) {
+  if (blocks_of_.empty()) return;
+  blocks_of_[node].push_back(static_cast<std::uint32_t>(block));
+}
+
+void NameNode::unindex_replica(BlockId block, cluster::NodeIndex node) {
+  if (blocks_of_.empty()) return;
+  std::vector<std::uint32_t>& held = blocks_of_[node];
+  const auto it = std::find(held.begin(), held.end(), block);
+  if (it == held.end()) {
+    throw std::logic_error("replica index: node does not list block");
+  }
+  *it = held.back();
+  held.pop_back();
 }
 
 std::vector<BlockId> NameNode::mark_node_dead(cluster::NodeIndex node) {
@@ -383,16 +419,31 @@ std::vector<BlockId> NameNode::mark_node_dead(cluster::NodeIndex node) {
   for (std::size_t i = pending_moves_.size(); i-- > 0;) {
     if (pending_moves_[i].to == node) {
       nodes_.remove_replica(node);
-      pending_moves_.erase(pending_moves_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
+      erase_pending(i);
     }
   }
-  for (BlockId b = 0; b < blocks_.size(); ++b) {
-    if (blocks_[b].hosted_on(node)) {
-      remove_replica(b, node);
-      affected.push_back(b);
+
+  if (blocks_of_.empty()) {
+    // First death: build the per-node replica index, kept in step by
+    // every replica mutation from here on.
+    blocks_of_.resize(node_count());
+    for (std::size_t i = 0; i < node_count(); ++i) {
+      blocks_of_[i].reserve(
+          nodes_.stored(static_cast<cluster::NodeIndex>(i)));
+    }
+    for (BlockId b = 0; b < blocks_.size(); ++b) {
+      for (const cluster::NodeIndex holder : blocks_[b].replicas) {
+        index_replica(b, holder);
+      }
     }
   }
+  // Callers trace and enqueue the write-offs in this order, and the
+  // ledger below fixes revive order: ascending block ids.
+  std::vector<std::uint32_t> held = std::move(blocks_of_[node]);
+  blocks_of_[node].clear();
+  std::sort(held.begin(), held.end());
+  affected.assign(held.begin(), held.end());
+  for (const BlockId b : affected) unlink_replica(blocks_[b], node);
   // The disk still holds these copies; revive_node restores from this
   // ledger if the death turns out to have been a false declaration.
   written_off_[node] = affected;
@@ -412,7 +463,7 @@ NameNode::ReviveReport NameNode::revive_node(cluster::NodeIndex node) {
   const std::vector<BlockId> ledger = std::move(written_off_[node]);
   written_off_[node].clear();
   for (const BlockId b : ledger) {
-    BlockInfo& info = blocks_.at(b);
+    const BlockInfo& info = blocks_.at(b);
     if (info.hosted_on(node)) {
       // Should be impossible (the node was dead and thus unplaceable),
       // but a double-registered holder must never happen.
@@ -429,9 +480,7 @@ NameNode::ReviveReport NameNode::revive_node(cluster::NodeIndex node) {
         report.trimmed.push_back({b, node});
         continue;
       }
-      info.replicas.push_back(node);
-      nodes_.add_replica(node);
-      sync_placeable(node);
+      add_replica(b, node);
       ++stats_.replicas_restored;
       report.restored.push_back(b);
       continue;
@@ -444,9 +493,7 @@ NameNode::ReviveReport NameNode::revive_node(cluster::NodeIndex node) {
     const std::optional<cluster::NodeIndex> victim = trim_victim(info, node);
     if (victim && nodes_.has_space(node)) {
       remove_replica(b, *victim);
-      info.replicas.push_back(node);
-      nodes_.add_replica(node);
-      sync_placeable(node);
+      add_replica(b, node);
       ++stats_.replicas_restored;
       report.restored.push_back(b);
       report.trimmed.push_back({b, *victim});

@@ -114,6 +114,11 @@ class NameNode {
                   cluster::NodeIndex to);
   bool has_pending_move(BlockId block, cluster::NodeIndex from,
                         cluster::NodeIndex to) const;
+  // Whether any move of `block` is in flight; O(1).
+  bool has_pending_moves(BlockId block) const {
+    return block < moves_per_block_.size() && moves_per_block_[block] != 0;
+  }
+  // Every in-flight move, in begin_move order.
   const std::vector<ReplicaMove>& pending_moves() const {
     return pending_moves_;
   }
@@ -208,6 +213,15 @@ class NameNode {
   // Index of the pending entry for (block, from, to), or npos.
   std::size_t find_pending(BlockId block, cluster::NodeIndex from,
                            cluster::NodeIndex to) const;
+  // Drop pending_moves_[index], keeping the order of the rest.
+  void erase_pending(std::size_t index);
+
+  // Unregister `node` as a holder of `block` in the block map, the
+  // directory and the placeable mask, but not in the per-node index.
+  void unlink_replica(BlockInfo& info, cluster::NodeIndex node);
+  // Per-node index upkeep; no-ops until mark_node_dead first builds it.
+  void index_replica(BlockId block, cluster::NodeIndex node);
+  void unindex_replica(BlockId block, cluster::NodeIndex node);
 
   // Evaluate a caller NodeFilter into a mask, once per call (nullopt
   // when there is no filter). Filters are pure within one call: the
@@ -233,9 +247,20 @@ class NameNode {
   std::vector<bool> dead_;
   cluster::NodeMask placeable_;
   std::vector<ReplicaMove> pending_moves_;
+  // Pending-move index: moves_per_block_[b] counts block b's entries in
+  // pending_moves_, so a block without moves (nearly every block) is
+  // answered without scanning them. Grown on demand by begin_move;
+  // blocks past its end have none.
+  std::vector<std::uint32_t> moves_per_block_;
   // Blocks whose replica on node i was written off by mark_node_dead —
   // the "what is still on its disk" ledger revive_node restores from.
   std::vector<std::vector<BlockId>> written_off_;
+  // Per-node replica index: blocks_of_[i] holds (unordered) every block
+  // with node i in its replicas, as 32-bit ids to halve its footprint
+  // (a simulated NameNode never nears 2^32 blocks). Built by the first
+  // mark_node_dead and maintained from then on, so runs without deaths
+  // never pay for it; empty means "not built".
+  std::vector<std::vector<std::uint32_t>> blocks_of_;
   std::shared_ptr<const cluster::FaultDomains> domains_;
   bool anti_affine_ = false;
   Stats stats_;

@@ -898,14 +898,7 @@ void MapReduceSimulation::maybe_rebalance(std::uint32_t alarm_count) {
       // One in-flight move per block: a holder being vacated by an
       // earlier pass is still listed in replicas, and vacating it a
       // second time would inflate the replica count on commit.
-      bool block_pending = false;
-      for (const hdfs::ReplicaMove& m : namenode_.pending_moves()) {
-        if (m.block == block) {
-          block_pending = true;
-          break;
-        }
-      }
-      if (block_pending) continue;
+      if (namenode_.has_pending_moves(block)) continue;
       const std::vector<cluster::NodeIndex> holders =
           namenode_.block(block).replicas;
       for (std::size_t r = 0; r < holders.size(); ++r) {

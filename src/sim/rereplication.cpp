@@ -53,13 +53,7 @@ int ReReplicator::target_replication(hdfs::BlockId block) const {
 }
 
 bool ReReplicator::tracked(hdfs::BlockId block) const {
-  return std::find(tracked_.begin(), tracked_.end(), block) !=
-         tracked_.end();
-}
-
-void ReReplicator::finish_block(hdfs::BlockId block) {
-  const auto it = std::find(tracked_.begin(), tracked_.end(), block);
-  if (it != tracked_.end()) tracked_.erase(it);
+  return block < tracked_.size() && tracked_[block];
 }
 
 void ReReplicator::note_backlog() {
@@ -86,7 +80,8 @@ void ReReplicator::enqueue(hdfs::BlockId block) {
     return;  // already at target
   }
   ++stats_.enqueued;
-  tracked_.push_back(block);
+  if (tracked_.size() <= block) tracked_.resize(namenode_.block_count());
+  tracked_[block] = true;
   pending_.push_back({block, 0, 0.0});
   note_backlog();
   pump();
@@ -120,42 +115,43 @@ void ReReplicator::pump() {
 }
 
 void ReReplicator::drain() {
-  // The scan below erases entries as it goes, so "no candidate" needs a
-  // sentinel that can never collide with a shrunken pending_.size().
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   while (static_cast<int>(in_flight_.size()) < config_.max_concurrent) {
-    // Pick the ready block with the fewest live replicas (ties by id).
+    // One compacting pass: drop stale entries (keeping the survivors'
+    // order) and pick the ready block with the fewest live replicas
+    // (ties by id). A block has at most one entry, so the pick does not
+    // depend on order; `best` indexes the compacted prefix.
     const common::Seconds now = queue_.now();
     std::size_t best = kNone;
     std::size_t best_replicas = std::numeric_limits<std::size_t>::max();
-    for (std::size_t i = 0; i < pending_.size();) {
-      const Repair& rep = pending_[i];
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      const Repair rep = pending_[i];
       const hdfs::BlockInfo& info = namenode_.block(rep.block);
       if (info.replicas.empty()) {
         // Lost while waiting (its last holder died too).
         ++stats_.unrecoverable;
         finish_block(rep.block);
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
       if (static_cast<int>(info.replicas.size()) >=
           target_replication(rep.block)) {
         finish_block(rep.block);  // repaired by other means
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
-      const bool has_source =
+      // The source probe goes last: only a would-be winner pays it.
+      const std::size_t replicas = info.replicas.size();
+      if (rep.not_before <= now &&
+          (replicas < best_replicas ||
+           (replicas == best_replicas && rep.block < pending_[best].block)) &&
           std::any_of(info.replicas.begin(), info.replicas.end(),
-                      [this](cluster::NodeIndex n) { return node_up_(n); });
-      if (rep.not_before <= now && has_source &&
-          (info.replicas.size() < best_replicas ||
-           (info.replicas.size() == best_replicas &&
-            rep.block < pending_[best].block))) {
-        best = i;
-        best_replicas = info.replicas.size();
+                      [this](cluster::NodeIndex n) { return node_up_(n); })) {
+        best = kept;
+        best_replicas = replicas;
       }
-      ++i;
+      pending_[kept++] = rep;
     }
+    pending_.resize(kept);
     if (best == kNone) return;        // nothing ready
     if (!start_repair(best)) return;  // no destination available now
   }

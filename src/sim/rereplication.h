@@ -120,7 +120,7 @@ class ReReplicator {
   void fail_transfer(std::size_t index, obs::TraceReason reason);
   void schedule_retry(hdfs::BlockId block, int retries_done,
                       obs::TraceReason reason);
-  void finish_block(hdfs::BlockId block);  // leaves the tracked set
+  void finish_block(hdfs::BlockId block) { tracked_[block] = false; }
 
   int target_replication(hdfs::BlockId block) const;
   bool tracked(hdfs::BlockId block) const;
@@ -150,7 +150,10 @@ class ReReplicator {
 
   std::vector<Repair> pending_;
   std::vector<Transfer> in_flight_;
-  std::vector<hdfs::BlockId> tracked_;  // pending + in-flight block ids
+  // tracked_[b] is set exactly while block b is pending or in flight.
+  // Grown to the NameNode's block count on demand (job streams add
+  // files); blocks past its end are untracked.
+  std::vector<bool> tracked_;
   Stats stats_;
 
   obs::MetricsRegistry::Id ctr_started_ = 0;
