@@ -64,6 +64,14 @@ BlockHashTable::BlockHashTable(const std::vector<double>& weights,
     if (begin == end) {
       throw std::logic_error("hash table: empty chain (rounding bug)");
     }
+    if (end - begin == 1) {
+      // Most cells hold one entry, which normalizes to exactly 1 (x / x
+      // for a finite positive x) and adds exactly cell_prob.
+      entries_[begin].weight = 1.0f;
+      probabilities_[entries_[begin].node] += cell_prob;
+      offsets_.push_back(static_cast<std::uint32_t>(end));
+      return;
+    }
     // Normalize resolution weights within the chain.
     double sum = 0.0;
     for (std::size_t k = begin; k < end; ++k) sum += entries_[k].weight;

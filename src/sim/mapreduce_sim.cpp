@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "availability/predictor.h"
+#include "placement/deferred_policy.h"
 #include "placement/random_policy.h"
 
 namespace adapt::sim {
@@ -228,19 +229,29 @@ void MapReduceSimulation::init_churn() {
 
 void MapReduceSimulation::refresh_policy() {
   if (!rereplicator_) return;
-  span_begin("policy_refresh");
-  placement::PolicyPtr policy;
-  if (config_.churn.policy_factory) {
-    policy = config_.churn.policy_factory(collector_->estimates(queue_.now()));
-  } else {
-    policy = placement::make_random_policy(node_state_.size());
-  }
+  // The estimates are snapshotted now: estimates() also advances the
+  // collector's pending downs, and the policy must quote this instant's
+  // beliefs. Only the build waits for the first draw, because most
+  // refreshed policies are replaced before any repair draws from them.
+  refresh_estimates_ =
+      config_.churn.policy_factory
+          ? std::make_shared<const std::vector<avail::InterruptionParams>>(
+                collector_->estimates(queue_.now()))
+          : nullptr;
+  placement::PolicyPtr policy = std::make_shared<placement::DeferredPolicy>(
+      [this, estimates = refresh_estimates_] {
+        span_begin("policy_refresh");
+        placement::PolicyPtr built =
+            estimates ? config_.churn.policy_factory(*estimates)
+                      : placement::make_random_policy(node_state_.size());
+        span_end();
+        return built;
+      });
   rereplicator_->set_policy(policy);
   if (migration_) {
     migration_->set_policy(policy);
     rebalance_policy_ = std::move(policy);
   }
-  span_end();
 }
 
 std::optional<TaskId> MapReduceSimulation::task_of(
@@ -857,9 +868,14 @@ void MapReduceSimulation::maybe_rebalance(std::uint32_t alarm_count) {
 
   // Eq. 5 quotes under the refreshed beliefs decide which replicas are
   // now badly placed: a holder quoting worse than hysteresis * the
-  // median of live nodes has degraded enough to vacate.
-  const std::vector<avail::InterruptionParams> est =
-      collector_->estimates(now);
+  // median of live nodes has degraded enough to vacate. The refresh's
+  // snapshot is reused; a refresh without a factory takes none.
+  if (!refresh_estimates_) {
+    refresh_estimates_ =
+        std::make_shared<const std::vector<avail::InterruptionParams>>(
+            collector_->estimates(now));
+  }
+  const std::vector<avail::InterruptionParams>& est = *refresh_estimates_;
   avail::PerformancePredictor predictor(node_state_.size(), config_.gamma);
   for (std::size_t i = 0; i < est.size() && i < node_state_.size(); ++i) {
     predictor.set_params(i, est[i]);
@@ -899,7 +915,8 @@ void MapReduceSimulation::maybe_rebalance(std::uint32_t alarm_count) {
       // earlier pass is still listed in replicas, and vacating it a
       // second time would inflate the replica count on commit.
       if (namenode_.has_pending_moves(block)) continue;
-      const std::vector<cluster::NodeIndex> holders =
+      // begin_move and the eligibility query leave `replicas` alone.
+      const std::vector<cluster::NodeIndex>& holders =
           namenode_.block(block).replicas;
       for (std::size_t r = 0; r < holders.size(); ++r) {
         const cluster::NodeIndex holder = holders[r];

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -173,8 +174,10 @@ class MapReduceSimulation : public InterruptionInjector::Listener,
 
   // -- churn & recovery ---------------------------------------------
   void init_churn();
-  // Rebuilds the re-replication destination policy from the collector's
-  // current estimates (or uniform random without a factory).
+  // Replaces the re-replication destination policy with one built from
+  // the collector's current estimates (or uniform random without a
+  // factory). The estimates are read now; the policy is built at its
+  // first draw, inside a "policy_refresh" span.
   void refresh_policy();
   // Dead-check alarm: fires detection latency + dead_timeout after a
   // down transition; declares the node dead if it is still silent.
@@ -378,9 +381,12 @@ class MapReduceSimulation : public InterruptionInjector::Listener,
   std::optional<cluster::HeartbeatCollector> collector_;
   std::optional<ReReplicator> rereplicator_;
   std::optional<MigrationDriver> migration_;
-  // The policy refresh_policy last built, shared with the drivers; the
-  // rebalance pass draws its migration targets from it.
+  // The policy refresh_policy last installed, shared with the drivers;
+  // the rebalance pass draws its migration targets from it.
   placement::PolicyPtr rebalance_policy_;
+  // The estimates the last refresh_policy read (null without a factory).
+  std::shared_ptr<const std::vector<avail::InterruptionParams>>
+      refresh_estimates_;
   common::Rng rebalance_rng_;
   common::Seconds last_rebalance_at_ = -1.0;  // cooldown gate, < 0 = never
   std::vector<EventQueue::Handle> dead_check_;  // armed per down node

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "cluster/topology.h"
 #include "hdfs/namenode.h"
+#include "obs/span.h"
 #include "placement/random_policy.h"
 #include "sim/mapreduce_sim.h"
 
@@ -328,6 +330,121 @@ TEST(Churn, ConfigValidation) {
   config.churn.dead_timeout = 0.0;
   EXPECT_THROW(MapReduceSimulation(cluster, nn, file, config),
                std::invalid_argument);
+}
+
+// The re-replication policy is built at its first draw from the
+// estimates read at its refresh. Node 0 leaves for good at t=30, is
+// believed down at 36 and is declared dead at 56, when its estimate
+// quotes mu = 56 - 36 = 20 s. With one repair at a time, the first repair
+// starts at 56 from the start-of-job policy; the next one starts when it
+// lands, about 8 s later, and draws from the policy of the t=56 refresh,
+// which must still quote mu = 20 s for node 0.
+TEST(Churn, RepairPolicyQuotesItsRefreshInstant) {
+  Cluster cluster = bare_cluster(4);
+  cluster.block_size_bytes = 8 * kMiB;
+  cluster.nodes[0].mode = AvailabilityMode::kReplay;
+  cluster.nodes[0].down_intervals = {{30.0, 9e5}};
+  hdfs::NameNode nn(4);
+  const auto file = plant_file(nn, {{0, 1}, {0, 2}, {0, 3}, {1, 2}});
+  SimJobConfig config;
+  config.gamma = 40.0;
+  config.randomize_replay_offset = false;
+  config.replay_horizon = 1e6;
+  config.allow_origin_fetch = false;
+  config.churn.enabled = true;
+  config.churn.heartbeat_interval = 3.0;
+  config.churn.heartbeat_miss_threshold = 2;
+  config.churn.dead_timeout = 20.0;
+  config.churn.rereplication.max_concurrent = 1;
+  std::vector<double> node0_mu;
+  config.churn.policy_factory =
+      [&node0_mu](const std::vector<avail::InterruptionParams>& estimates) {
+        node0_mu.push_back(estimates[0].mu);
+        return placement::make_random_policy(estimates.size());
+      };
+  MapReduceSimulation sim(cluster, nn, file, config);
+  const JobResult r = sim.run();
+
+  ASSERT_EQ(r.nodes_dead, 1u);
+  ASSERT_GE(r.rereplications, 2u);
+  // Two refreshes, both drawn from: start of job and the t=56 death.
+  ASSERT_EQ(node0_mu.size(), 2u);
+  EXPECT_NEAR(node0_mu[1], 20.0, 1e-9);
+}
+
+// Only refreshed policies that a repair draws from are built, each once,
+// inside its own "policy_refresh" span. Node 0 is declared dead at ~46
+// and heard from again at 120: three refreshes (start of job, death,
+// revive), and no repair draws after the revive.
+TEST(Churn, RepairPolicyIsBuiltOnlyWhenDrawnFrom) {
+  Cluster cluster = bare_cluster(3);
+  cluster.block_size_bytes = 8 * kMiB;
+  cluster.nodes[0].mode = AvailabilityMode::kReplay;
+  cluster.nodes[0].down_intervals = {{10.0, 120.0}};
+  hdfs::NameNode nn(3);
+  const auto file = plant_file(nn, {{0, 1}, {0, 2}, {1, 2}, {1, 2}});
+  SimJobConfig config;
+  config.gamma = 80.0;
+  config.randomize_replay_offset = false;
+  config.replay_horizon = 1e6;
+  config.allow_origin_fetch = false;
+  config.churn.enabled = true;
+  config.churn.heartbeat_interval = 3.0;
+  config.churn.heartbeat_miss_threshold = 2;
+  config.churn.dead_timeout = 30.0;
+  obs::SpanProfiler spans;
+  config.spans = &spans;
+  int builds = 0;
+  config.churn.policy_factory =
+      [&builds](const std::vector<avail::InterruptionParams>& estimates) {
+        ++builds;
+        return placement::make_random_policy(estimates.size());
+      };
+  MapReduceSimulation sim(cluster, nn, file, config);
+  const JobResult r = sim.run();
+
+  ASSERT_EQ(r.nodes_dead, 1u);
+  ASSERT_EQ(r.nodes_resurrected, 1u);
+  ASSERT_GE(r.rereplications, 1u);
+  const auto refreshes = 1 + r.nodes_dead + r.nodes_resurrected;
+  EXPECT_GE(builds, 1);
+  EXPECT_LT(static_cast<std::uint64_t>(builds), refreshes);
+  int refresh_spans = 0;
+  for (const obs::SpanRecord& span : spans.take_records()) {
+    refresh_spans += span.name == "policy_refresh" ? 1 : 0;
+  }
+  EXPECT_EQ(refresh_spans, builds);
+}
+
+// A factory error still ends the run: it surfaces at the draw that
+// builds the policy.
+TEST(Churn, RepairPolicyBuildErrorEndsTheRun) {
+  Cluster cluster = bare_cluster(4);
+  cluster.block_size_bytes = 8 * kMiB;
+  cluster.nodes[0].mode = AvailabilityMode::kReplay;
+  cluster.nodes[0].down_intervals = {{30.0, 9e5}};
+  hdfs::NameNode nn(4);
+  const auto file = plant_file(nn, {{0, 1}, {0, 2}, {0, 3}, {1, 2}});
+  SimJobConfig config;
+  config.gamma = 40.0;
+  config.randomize_replay_offset = false;
+  config.replay_horizon = 1e6;
+  config.allow_origin_fetch = false;
+  config.churn.enabled = true;
+  config.churn.heartbeat_interval = 3.0;
+  config.churn.heartbeat_miss_threshold = 2;
+  config.churn.dead_timeout = 20.0;
+  config.churn.policy_factory =
+      [](const std::vector<avail::InterruptionParams>&) -> placement::PolicyPtr {
+    throw std::invalid_argument("hash table: all weights are zero");
+  };
+  try {
+    MapReduceSimulation sim(cluster, nn, file, config);
+    sim.run();
+    FAIL() << "the factory error was swallowed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "hash table: all weights are zero");
+  }
 }
 
 }  // namespace

@@ -365,6 +365,28 @@ TEST(HashTable, OneSweepBuildMatchesOracleUnderCursorDrift) {
   }
 }
 
+// A one-entry chain normalizes to exactly 1.0f, so each singleton cell
+// adds exactly 1/m to its node's selection probability. Integral widths
+// make every chain a singleton: node i's probability is 1/m added up
+// once per cell it owns, in cell order.
+TEST(HashTable, OneEntryChainsCarryExactlyOne) {
+  for (const auto weighting :
+       {ChainWeighting::kPaper, ChainWeighting::kOverlap}) {
+    const BlockHashTable table({1.0, 3.0, 2.0, 2.0}, 51200, weighting);
+    const auto hist = table.chain_length_histogram();
+    ASSERT_EQ(hist.size(), 2u);
+    ASSERT_EQ(hist[1], 51200u);
+    const double cell_prob = 1.0 / 51200.0;
+    const std::vector<std::size_t> cells_owned = {6400, 19200, 12800, 12800};
+    for (std::size_t i = 0; i < cells_owned.size(); ++i) {
+      double expected = 0.0;
+      for (std::size_t k = 0; k < cells_owned[i]; ++k) expected += cell_prob;
+      EXPECT_EQ(table.selection_probabilities()[i], expected)
+          << "node " << i << " " << to_string(weighting);
+    }
+  }
+}
+
 TEST(HashTable, Validation) {
   EXPECT_THROW(BlockHashTable({}, 10, ChainWeighting::kPaper),
                std::invalid_argument);

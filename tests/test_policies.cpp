@@ -1,11 +1,16 @@
-// Placement policies: random, ADAPT (Algorithm 1), naive, and the
-// Section IV-C fidelity cap.
+// Placement policies: random, ADAPT (Algorithm 1), naive, the
+// Section IV-C fidelity cap, and the build-on-first-use wrapper.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
 
 #include "availability/interruption_model.h"
 #include "placement/adapt_policy.h"
 #include "placement/alias_sampler.h"
 #include "placement/capped_policy.h"
+#include "placement/deferred_policy.h"
+#include "placement/jump_hash_policy.h"
 #include "placement/naive_policy.h"
 #include "placement/random_policy.h"
 
@@ -233,6 +238,79 @@ TEST(CappedPolicy, RemovalFreesHeadroom) {
   capped.record_removal(0);
   EXPECT_TRUE(capped.choose(one, rng));
   EXPECT_THROW(capped.record_removal(1), std::out_of_range);
+}
+
+TEST(DeferredPolicy, BuildsOnceAtFirstUse) {
+  int builds = 0;
+  const DeferredPolicy policy([&builds] {
+    ++builds;
+    return make_random_policy(4);
+  });
+  EXPECT_EQ(builds, 0);
+  Rng rng(3);
+  const cluster::NodeMask all(4, true);
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(policy.choose(all, rng));
+  EXPECT_TRUE(policy.choose_keyed(7, 1, all, rng));
+  EXPECT_EQ(policy.name(), "random");
+  EXPECT_EQ(policy.target_shares().size(), 4u);
+  EXPECT_EQ(builds, 1);
+}
+
+// Every call delegates to what the recipe built: the same picks and the
+// same RNG consumption as the eagerly built policy, for a sampling
+// policy that rejects under masks (ADAPT with an unstable node) and for
+// a keyed consistent-hash policy.
+TEST(DeferredPolicy, MatchesTheEagerPolicy) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> times = {30.0, 45.0, inf, 12.0, 90.0, 30.0};
+  const std::vector<std::function<PolicyPtr()>> recipes = {
+      [&times] { return make_adapt_policy(times, 64); },
+      [&times] {
+        return make_adapt_policy(times, 64, ChainWeighting::kOverlap);
+      },
+      [] { return make_jump_hash_policy({3, 1, 4, 0, 5, 2}); }};
+  for (const auto& recipe : recipes) {
+    const PolicyPtr eager = recipe();
+    const DeferredPolicy deferred(recipe);
+    Rng masks(11);
+    Rng a(77);
+    Rng b(77);
+    for (std::uint32_t i = 0; i < 400; ++i) {
+      cluster::NodeMask eligible(times.size());
+      for (std::size_t n = 0; n < times.size(); ++n) {
+        if (masks.uniform() < 0.4) eligible.set(n);
+      }
+      ASSERT_EQ(eager->choose(eligible, a), deferred.choose(eligible, b))
+          << eager->name() << " draw " << i;
+      ASSERT_EQ(eager->choose_keyed(i, i % 3, eligible, a),
+                deferred.choose_keyed(i, i % 3, eligible, b))
+          << eager->name() << " keyed draw " << i;
+    }
+    EXPECT_EQ(a(), b()) << eager->name();
+    EXPECT_EQ(eager->name(), deferred.name());
+    EXPECT_EQ(eager->target_shares(), deferred.target_shares());
+  }
+}
+
+TEST(DeferredPolicy, BuildErrorPropagatesAndRetries) {
+  int calls = 0;
+  const DeferredPolicy policy([&calls]() -> PolicyPtr {
+    if (++calls == 1) {
+      throw std::invalid_argument("hash table: all weights are zero");
+    }
+    return make_random_policy(2);
+  });
+  Rng rng(1);
+  const cluster::NodeMask all(2, true);
+  EXPECT_THROW(policy.choose(all, rng), std::invalid_argument);
+  EXPECT_TRUE(policy.choose(all, rng));
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(DeferredPolicy, RejectsMissingRecipeAndNullResult) {
+  EXPECT_THROW(DeferredPolicy(nullptr), std::invalid_argument);
+  const DeferredPolicy policy([] { return PolicyPtr(); });
+  EXPECT_THROW(policy.target_shares(), std::logic_error);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // replication levels and seeds.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "cluster/topology.h"
 #include "hdfs/namenode.h"
 #include "placement/random_policy.h"
@@ -266,6 +269,20 @@ struct SweepCase {
   bool origin;
 };
 
+std::string sweep_case_name(const SweepCase& c) {
+  return "n" + std::to_string(c.nodes) + "_r" +
+         std::to_string(c.replication) + "_s" + std::to_string(c.seed) +
+         (c.speculation ? "_spec" : "_nospec") +
+         (c.origin ? "_origin" : "_noorigin");
+}
+
+// Prints the case name only: gtest's default printer would show the raw
+// bytes, padding included, which differ from run to run, in the listed
+// test names.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << sweep_case_name(c);
+}
+
 class SimulationProperties : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(SimulationProperties, InvariantsHold) {
@@ -320,13 +337,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{64, 3, 16, false, false},
                       SweepCase{32, 1, 17, true, true},
                       SweepCase{32, 1, 18, true, true}),
-    [](const auto& info) {
-      const SweepCase& c = info.param;
-      return "n" + std::to_string(c.nodes) + "_r" +
-             std::to_string(c.replication) + "_s" +
-             std::to_string(c.seed) + (c.speculation ? "_spec" : "_nospec") +
-             (c.origin ? "_origin" : "_noorigin");
-    });
+    [](const auto& info) { return sweep_case_name(info.param); });
 
 TEST(Simulation, DeterministicAcrossRuns) {
   cluster::EmulationConfig emu;
